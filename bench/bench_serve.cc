@@ -1,27 +1,19 @@
-// Serving-engine benchmark: drives the frozen-weight forward path and the
-// deadline-triggered micro-batcher (src/serve) with closed-loop and
-// open-loop traffic over the model zoo's serving shapes, and writes
+// Serving-engine benchmark: drives the frozen-weight forward path (src/serve)
+// with closed-loop traffic over the model zoo's serving shapes, and writes
 // BENCH_serve.json (or argv[1]).
 //
-// Three traffic modes per (model, dataset) combination:
-//   closed_single  — one caller, one row per InferenceSession::Forward: the
-//                    un-batched baseline every speedup is measured against.
-//   closed_batched — `batch` requester threads hammering MicroBatcher::Infer
-//                    back-to-back, so flushes are size-triggered: peak
-//                    batched throughput, swept over batch {8, 16, 32}.
-//   open_poisson   — requests arrive on a precomputed Poisson schedule
-//                    (exponential inter-arrivals from base/rng.h) at ~40% of
-//                    the batched capacity; latency is measured from the
-//                    *scheduled* arrival, so queueing delay during bursts is
-//                    charged to the server, not hidden (open-loop load, the
-//                    metric closed loops systematically understate).
+// Two traffic modes per (model, dataset) combination:
+//   closed_single        — one caller, one row per InferenceSession::Forward:
+//                          the per-request cost of serving a row inline, as
+//                          MicroBatcher::Infer does.
+//   closed_batch_forward — one caller, `batch` rows per Forward: the
+//                          engine's batching gain for callers that already
+//                          hold a batch, swept over batch {8, 16, 32}.
 //
-// Methodology: closed-loop rates are best-of-kTrials (bench_common.h);
-// latency quantiles come from per-request timestamps into preallocated
-// slots. This host has one core, so batched-vs-single gains here are pure
-// per-request overhead amortization (GEMM microkernel row reuse, one
-// scratch slab and op-dispatch walk per flush instead of per row) — on a
-// multi-core box the batched forward additionally fans out over the pool.
+// Methodology: rates are best-of-kTrials (bench_common.h); latency
+// quantiles come from per-request timestamps into preallocated slots.
+// Open-loop serving under a calibrated rate ladder is perfbench's
+// serve_open_mmoe workload.
 //
 // The report also carries the active runtime-ISA tier ("isa_tier"), a
 // "precision" tag per traffic row (the harness drives fp32 engines), and
@@ -32,7 +24,6 @@
 // (docs/SERVING.md "Reduced precision").
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -48,7 +39,6 @@
 #include "mtl/cgc.h"
 #include "mtl/hps.h"
 #include "mtl/mmoe.h"
-#include "serve/batcher.h"
 #include "serve/engine.h"
 #include "serve/plan.h"
 
@@ -56,8 +46,6 @@ namespace mocograd {
 namespace {
 
 constexpr int kTrials = 5;
-
-using SteadyClock = std::chrono::steady_clock;
 
 // The harness's serving shapes: AliExpress-style (10 dense features, 2
 // tasks: CTR/CVR) and MovieLens-style (16 features, 9 genre tasks), expert
@@ -138,19 +126,15 @@ serve::ServeModel BuildServeModel(
 // One measurement row of the JSON report.
 struct RunStats {
   std::string mode;
-  int threads = 1;
   int batch = 1;
-  int64_t deadline_us = 0;
   int64_t requests = 0;
   double qps = 0.0;
-  double offered_qps = 0.0;  // open-loop only
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
-  double occupancy = 1.0;  // rows per flush / max batch
 };
 
-// Per-request output buffers for one requester thread, preallocated.
+// Per-request output buffers for one caller, preallocated.
 struct OutputSlots {
   std::vector<float> data;
   std::vector<float*> ptrs;
@@ -173,7 +157,7 @@ double PercentileUs(std::vector<double>& sorted_us, double p) {
   return sorted_us[idx];
 }
 
-// Closed loop, batch of one, no batcher: the baseline cost of a request.
+// Closed loop, batch of one: the baseline cost of a request.
 RunStats RunClosedSingle(const serve::ServeModel& sm,
                          const std::vector<float>& rows, int64_t num_rows,
                          int requests) {
@@ -205,12 +189,10 @@ RunStats RunClosedSingle(const serve::ServeModel& sm,
   return s;
 }
 
-// Closed loop, batched forward, no batcher: one caller handing the engine
-// `batch` rows per Forward call. This is the engine's raw batching gain —
-// the GEMM microkernel reuses each weight panel across row tiles and the
-// op-dispatch walk/scratch setup amortize over the batch — with no thread
-// coalescing cost, i.e. the upper bound the micro-batcher approaches when
-// requests arrive faster than flushes drain.
+// Closed loop, batched forward: one caller handing the engine `batch` rows
+// per Forward call. This is the engine's raw batching gain — the GEMM
+// microkernel reuses each weight panel across row tiles and the op-dispatch
+// walk/scratch setup amortize over the batch.
 RunStats RunBatchForward(const serve::ServeModel& sm,
                          const std::vector<float>& rows, int64_t num_rows,
                          int batch, int calls) {
@@ -249,142 +231,18 @@ RunStats RunBatchForward(const serve::ServeModel& sm,
   return s;
 }
 
-// Closed loop through the micro-batcher: `threads` requesters back-to-back,
-// so every flush is size-triggered (threads == batch).
-RunStats RunClosedBatched(const serve::ServeModel& sm,
-                          const std::vector<float>& rows, int64_t num_rows,
-                          int batch, int requests_per_thread) {
-  serve::BatcherOptions opts;
-  opts.max_batch = batch;
-  opts.deadline_us = 5000;  // fallback only; the size trigger dominates
-  const int threads = batch;
-  const int total = threads * requests_per_thread;
-
-  double best_qps = 0.0;
-  std::vector<double> lat_us(static_cast<size_t>(total));
-  serve::MicroBatcher batcher(sm, opts);
-  for (int t = 0; t < kTrials; ++t) {
-    std::vector<std::thread> workers;
-    Stopwatch sw;
-    for (int w = 0; w < threads; ++w) {
-      workers.emplace_back([&, w] {
-        OutputSlots out(sm);
-        const int64_t in = sm.input_dim();
-        for (int r = 0; r < requests_per_thread; ++r) {
-          const int64_t row = (static_cast<int64_t>(w) * requests_per_thread +
-                               r) % num_rows;
-          Stopwatch req;
-          batcher.Infer(rows.data() + row * in, out.ptrs.data());
-          lat_us[static_cast<size_t>(w) * requests_per_thread + r] =
-              req.ElapsedSeconds() * 1e6;
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    const double qps = total / sw.ElapsedSeconds();
-    if (qps > best_qps) best_qps = qps;
-  }
-  std::sort(lat_us.begin(), lat_us.end());
-
-  RunStats s;
-  s.mode = "closed_batched";
-  s.threads = threads;
-  s.batch = batch;
-  s.deadline_us = opts.deadline_us;
-  s.requests = total;
-  s.qps = best_qps;
-  s.p50_us = PercentileUs(lat_us, 0.50);  // last trial's latencies
-  s.p95_us = PercentileUs(lat_us, 0.95);
-  s.p99_us = PercentileUs(lat_us, 0.99);
-  s.occupancy = batcher.batches_executed() > 0
-                    ? static_cast<double>(batcher.rows_executed()) /
-                          (static_cast<double>(batcher.batches_executed()) *
-                           batch)
-                    : 0.0;
-  return s;
-}
-
-// Open loop: a precomputed Poisson arrival schedule at `offered_qps`;
-// workers claim arrivals from a shared index, sleep until the scheduled
-// instant, and charge latency from that instant (not from when a worker
-// got around to it).
-RunStats RunOpenPoisson(const serve::ServeModel& sm,
-                        const std::vector<float>& rows, int64_t num_rows,
-                        double offered_qps, int requests, int workers,
-                        int batch) {
-  serve::BatcherOptions opts;
-  opts.max_batch = batch;
-  opts.deadline_us = 200;
-
-  Rng rng(0xa881fa1);
-  std::vector<double> arrival_s(requests);
-  double t = 0.0;
-  for (int r = 0; r < requests; ++r) {
-    // Exponential inter-arrival: -ln(1-u)/λ, u in [0,1).
-    t += -std::log(1.0 - static_cast<double>(rng.Uniform())) / offered_qps;
-    arrival_s[r] = t;
-  }
-
-  serve::MicroBatcher batcher(sm, opts);
-  std::vector<double> lat_us(static_cast<size_t>(requests));
-  std::atomic<int> next{0};
-  const SteadyClock::time_point start = SteadyClock::now();
-  std::vector<std::thread> pool;
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      OutputSlots out(sm);
-      const int64_t in = sm.input_dim();
-      for (int r = next.fetch_add(1); r < requests; r = next.fetch_add(1)) {
-        const SteadyClock::time_point scheduled =
-            start + std::chrono::duration_cast<SteadyClock::duration>(
-                        std::chrono::duration<double>(arrival_s[r]));
-        std::this_thread::sleep_until(scheduled);
-        batcher.Infer(rows.data() + (r % num_rows) * in, out.ptrs.data());
-        lat_us[r] = std::chrono::duration<double>(SteadyClock::now() -
-                                                  scheduled)
-                        .count() * 1e6;
-      }
-    });
-  }
-  for (auto& w : pool) w.join();
-  const double elapsed =
-      std::chrono::duration<double>(SteadyClock::now() - start).count();
-  std::sort(lat_us.begin(), lat_us.end());
-
-  RunStats s;
-  s.mode = "open_poisson";
-  s.threads = workers;
-  s.batch = batch;
-  s.deadline_us = opts.deadline_us;
-  s.requests = requests;
-  s.qps = requests / elapsed;
-  s.offered_qps = offered_qps;
-  s.p50_us = PercentileUs(lat_us, 0.50);
-  s.p95_us = PercentileUs(lat_us, 0.95);
-  s.p99_us = PercentileUs(lat_us, 0.99);
-  s.occupancy = batcher.batches_executed() > 0
-                    ? static_cast<double>(batcher.rows_executed()) /
-                          (static_cast<double>(batcher.batches_executed()) *
-                           batch)
-                    : 0.0;
-  return s;
-}
-
 std::string StatsJson(const std::string& model, const DatasetSpec& ds,
                       bool batch_invariant, const RunStats& s) {
-  char buf[640];
+  char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "{\"model\": \"%s\", \"dataset\": \"%s\", \"mode\": \"%s\", "
-      "\"precision\": \"fp32\", "
-      "\"threads\": %d, \"batch\": %d, \"deadline_us\": %lld, "
-      "\"requests\": %lld, \"qps\": %.1f, \"offered_qps\": %.1f, "
-      "\"p50_us\": %.2f, \"p95_us\": %.2f, \"p99_us\": %.2f, "
-      "\"occupancy\": %.3f, \"batch_invariant\": %s}",
-      model.c_str(), ds.name, s.mode.c_str(), s.threads, s.batch,
-      static_cast<long long>(s.deadline_us),
-      static_cast<long long>(s.requests), s.qps, s.offered_qps, s.p50_us,
-      s.p95_us, s.p99_us, s.occupancy, batch_invariant ? "true" : "false");
+      "\"precision\": \"fp32\", \"batch\": %d, \"requests\": %lld, "
+      "\"qps\": %.1f, \"p50_us\": %.2f, \"p95_us\": %.2f, "
+      "\"p99_us\": %.2f, \"batch_invariant\": %s}",
+      model.c_str(), ds.name, s.mode.c_str(), s.batch,
+      static_cast<long long>(s.requests), s.qps, s.p50_us, s.p95_us,
+      s.p99_us, batch_invariant ? "true" : "false");
   return buf;
 }
 
@@ -499,8 +357,6 @@ int Main(int argc, char** argv) {
   const std::vector<int> batches = smoke ? std::vector<int>{16}
                                          : std::vector<int>{8, 16, 32};
   const int single_requests = smoke ? 500 : 4000;
-  const int batched_per_thread = smoke ? 40 : 250;
-  const int open_requests = smoke ? 300 : 3000;
 
   std::string json = "{\n  \"bench\": \"serve\",\n  \"smoke\": ";
   json += smoke ? "true" : "false";
@@ -512,15 +368,15 @@ int Main(int argc, char** argv) {
   json += std::to_string(kTrials);
   json += ",\n  \"results\": [\n";
 
-  std::printf("%-6s %-10s %-15s %6s %6s %12s %10s %10s %10s %6s\n", "model",
-              "dataset", "mode", "thr", "batch", "qps", "p50_us", "p95_us",
-              "p99_us", "occ");
+  std::printf("%-6s %-10s %-20s %6s %12s %10s %10s %10s\n", "model",
+              "dataset", "mode", "batch", "qps", "p50_us", "p95_us",
+              "p99_us");
   bool first = true;
   const auto emit = [&](const std::string& model, const DatasetSpec& ds,
                         bool invariant, const RunStats& s) {
-    std::printf("%-6s %-10s %-15s %6d %6d %12.1f %10.2f %10.2f %10.2f %6.2f\n",
-                model.c_str(), ds.name, s.mode.c_str(), s.threads, s.batch,
-                s.qps, s.p50_us, s.p95_us, s.p99_us, s.occupancy);
+    std::printf("%-6s %-10s %-20s %6d %12.1f %10.2f %10.2f %10.2f\n",
+                model.c_str(), ds.name, s.mode.c_str(), s.batch, s.qps,
+                s.p50_us, s.p95_us, s.p99_us);
     if (!first) json += ",\n";
     json += "    " + StatsJson(model, ds, invariant, s);
     first = false;
@@ -547,24 +403,6 @@ int Main(int argc, char** argv) {
             RunBatchForward(sm, rows, kNumRows, b, single_requests / b);
         emit(model, ds, invariant, bf);
       }
-
-      double peak_batched_qps = 0.0;
-      for (int b : batches) {
-        const RunStats batched =
-            RunClosedBatched(sm, rows, kNumRows, b, batched_per_thread);
-        peak_batched_qps = std::max(peak_batched_qps, batched.qps);
-        emit(model, ds, invariant, batched);
-      }
-
-      // Offered load: a fraction of the thread-coalesced capacity, capped
-      // where the per-request sleep_until/wake machinery itself saturates a
-      // single-core host — above that the run measures schedule slip, not
-      // the server.
-      const double offered = std::min(0.4 * peak_batched_qps, 15000.0);
-      const RunStats open = RunOpenPoisson(sm, rows, kNumRows, offered,
-                                           open_requests, /*workers=*/8,
-                                           /*batch=*/16);
-      emit(model, ds, invariant, open);
     }
   }
 

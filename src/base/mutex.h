@@ -25,7 +25,6 @@
 //   }
 //   void DrainLocked() MG_REQUIRES(mu_);   // caller holds mu_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -34,8 +33,7 @@
 namespace mocograd {
 
 /// A std::mutex carrying thread-safety capability annotations. Lock/Unlock
-/// are public for the rare hand-over-hand sections (e.g. the micro-batcher
-/// dropping the lock around a batch execution); scoped sections use
+/// are public for the rare hand-over-hand sections; scoped sections use
 /// MutexLock.
 class MG_CAPABILITY("mutex") Mutex {
  public:
@@ -91,17 +89,6 @@ class CondVar {
   template <typename Pred>
   void Wait(Mutex& mu, Pred pred) MG_REQUIRES(mu) {
     while (!pred()) Wait(mu);
-  }
-
-  /// Timed wait; returns std::cv_status::timeout when `deadline` passed.
-  template <typename Clock, typename Duration>
-  std::cv_status WaitUntil(
-      Mutex& mu, const std::chrono::time_point<Clock, Duration>& deadline)
-      MG_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.native_handle(), std::adopt_lock);
-    const std::cv_status status = cv_.wait_until(lk, deadline);
-    lk.release();
-    return status;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -2,108 +2,52 @@
 #define MOCOGRAD_SERVE_BATCHER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <vector>
 
-#include "base/mutex.h"
 #include "serve/engine.h"
 
 namespace mocograd {
 namespace serve {
 
-/// Micro-batcher knobs. Zero/negative fields fall back to the
-/// MOCOGRAD_SERVE_BATCH / MOCOGRAD_SERVE_DEADLINE_US environment knobs
-/// (README "Runtime knobs").
-struct BatcherOptions {
-  int max_batch = 0;     // rows per batch; <= 0: MOCOGRAD_SERVE_BATCH (32)
-  int deadline_us = -1;  // flush deadline; < 0: MOCOGRAD_SERVE_DEADLINE_US
-                         // (200); 0 flushes every request immediately
-};
-
-/// Coalesces concurrent single-row queries into GEMM-friendly batches.
+/// Single-row serving front end: each Infer runs one row inline on the
+/// calling thread through a shared InferenceSession, whose Forward is safe
+/// to call from many threads at once (per-thread arena scratch, immutable
+/// weights). There is no queue, no lock and no cross-thread handoff; on
+/// recommendation-scale models that handoff cost more than the forward it
+/// tried to amortize (docs/SERVING.md "Concurrent callers"). Callers that
+/// hold a batch of rows call InferenceSession::Forward with it directly —
+/// its output is bitwise equal to the same rows served one at a time.
 ///
-/// A batch flushes when it reaches `max_batch` rows or when `deadline_us`
-/// has elapsed since its first row arrived — production dynamic batching.
-/// Execution is cooperative: the requester that fills the batch (or the
-/// first requester whose deadline fires) runs the batched forward inline
-/// and scatters results to every waiting requester; the forward's GEMMs
-/// fan out over the global ThreadPool as usual. This keeps the batcher
-/// deadlock-free at any pool size (no Submit'd task ever blocks on another
-/// task, honoring the ThreadPool::Submit contract) and keeps the request
-/// path heap-allocation-free in steady state: the two staging slabs and the
-/// scatter tables are preallocated at construction, and the forward runs on
-/// arena scratch (docs/SERVING.md "The micro-batcher").
-///
-/// Bit-exact contract: a batched forward of N queued rows equals N
-/// single-row InferenceSession::Forward calls bitwise whenever
-/// PlanIsBatchInvariant(plan) holds — enforced by
-/// tests/serve/serve_batcher_determinism_test.cc across pool sizes and
-/// SIMD backends.
+/// The request path is heap-allocation-free in steady state, like the bare
+/// engine (tests/serve/serve_engine_test.cc).
 class MicroBatcher {
  public:
-  explicit MicroBatcher(const ServeModel& model, BatcherOptions options = {});
+  explicit MicroBatcher(const ServeModel& model) : session_(model) {}
 
-  /// Blocking single-row inference: queues `row` (input_dim floats), waits
-  /// for its batch to execute, and writes task k's prediction to
-  /// outputs[k] (task_output_dim(k) floats). Safe to call from any number
-  /// of threads; both pointers must stay valid until return.
-  void Infer(const float* row, float* const* outputs);
+  /// Blocking single-row inference: writes task k's prediction for `row`
+  /// (input_dim floats) to outputs[k] (task_output_dim(k) floats). Safe to
+  /// call from any number of threads.
+  void Infer(const float* row, float* const* outputs) {
+    session_.Forward(row, 1, outputs);
+    rows_.fetch_add(1, std::memory_order_relaxed);
+  }
 
-  /// Cumulative counters (batch occupancy = rows / batches).
+  /// Rows served so far. Every row is its own forward, so both counters
+  /// read the same count.
   int64_t batches_executed() const {
-    return batches_.load(std::memory_order_relaxed);
+    return rows_.load(std::memory_order_relaxed);
   }
   int64_t rows_executed() const {
     return rows_.load(std::memory_order_relaxed);
   }
 
-  int max_batch() const { return max_batch_; }
-  int64_t deadline_us() const { return deadline_us_; }
+  /// Rows per forward: always 1.
+  int max_batch() const { return 1; }
+  /// Time a row waits for company: always 0.
+  int64_t deadline_us() const { return 0; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  /// Blocks until batch `batch_id` has executed, claiming and running the
-  /// flush inline when it is this thread's turn. Enters and exits with mu_
-  /// held; drops it hand-over-hand around the ExecuteBatch call.
-  void FlushBatch(int64_t batch_id) MG_REQUIRES(mu_);
-
-  /// Runs the batched forward for `n` rows of staging slab `slab` and
-  /// scatters per-task rows to the queued requesters. Called without the
-  /// lock; serialized by flushing_.
-  void ExecuteBatch(int slab, int n, Clock::time_point open);
-
-  const ServeModel* model_;
   InferenceSession session_;
-  int max_batch_;
-  int64_t deadline_us_;
-  int64_t input_dim_;
-
-  Mutex mu_;
-  CondVar cv_;
-  // Double-buffered pending batch: enqueuers fill staging_[active_] under
-  // the lock while a flush may be executing the other slab without it. The
-  // slabs deliberately carry no MG_GUARDED_BY: the inactive slab is read
-  // lock-free by the (flushing_-serialized) executor, a ping-pong protocol
-  // beyond what guarded_by expresses — its safety is covered by the TSan leg
-  // and serve_batcher_determinism_test.
-  std::vector<float> staging_[2];
-  std::vector<float* const*> slot_outputs_[2];
-  int active_ MG_GUARDED_BY(mu_) = 0;
-  int count_ MG_GUARDED_BY(mu_) = 0;        // rows in the active slab
-  int64_t next_batch_id_ MG_GUARDED_BY(mu_) = 0;  // batch currently filling
-  int64_t executed_batch_id_ MG_GUARDED_BY(mu_) = -1;
-  bool flushing_ MG_GUARDED_BY(mu_) = false;
-  // Arrival of the active batch's first row.
-  Clock::time_point batch_open_ MG_GUARDED_BY(mu_){};
-
-  // Per-task batched outputs the forward writes before the scatter; one set
-  // suffices because flushes are serialized.
-  std::vector<float> out_slab_;
-  std::vector<float*> out_ptrs_;
-
-  std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> rows_{0};
 };
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -96,15 +95,6 @@ TEST(ThreadAnnotationsTest, TryLockReportsContention) {
   // Uncontended TryLock succeeds.
   ASSERT_TRUE(mu.TryLock());
   mu.Unlock();
-}
-
-TEST(ThreadAnnotationsTest, WaitUntilTimesOutWithoutNotify) {
-  Mutex mu;
-  CondVar cv;
-  MutexLock lock(&mu);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-  EXPECT_EQ(cv.WaitUntil(mu, deadline), std::cv_status::timeout);
 }
 
 TEST(ThreadAnnotationsTest, NativeHandleInteroperatesWithStd) {

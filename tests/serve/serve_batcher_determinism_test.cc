@@ -1,9 +1,9 @@
-// The micro-batcher's bit-exactness contract: any interleaving of
-// concurrent single-row Infer() calls — size-triggered flushes, deadline
-// flushes, partial batches — produces for each request exactly the bits a
-// lone session.Forward() of that row would. CI reruns this suite (the name
-// contains "determinism") at thread-pool sizes 2 and 8 and with SIMD
-// disabled; the TSan leg exercises the same paths for data races.
+// The serving front end's bit-exactness contract: any interleaving of
+// concurrent single-row Infer() calls produces for each request exactly the
+// bits a lone session.Forward() of that row would, and serves every request
+// as its own one-row forward. CI reruns this suite (the name contains
+// "determinism") at thread-pool sizes 2 and 8, with SIMD disabled and at the
+// forced scalar tier; the TSan leg checks the shared session for data races.
 
 #include "serve/batcher.h"
 
@@ -45,11 +45,11 @@ struct Fixture {
   std::unique_ptr<serve::ServeModel> serve_model;
 };
 
-// Runs `num_requests` rows through the batcher from `num_threads` requester
-// threads and checks every output bitwise against a lone single-row forward.
-void CheckBatchedMatchesSingleRow(const serve::ServeModel& sm,
-                                  serve::BatcherOptions options,
-                                  int num_threads, int num_requests) {
+// Runs `num_requests` rows through one MicroBatcher from `num_threads`
+// requester threads and checks every output bitwise against a lone
+// single-row forward.
+void CheckInlineMatchesSingleRow(const serve::ServeModel& sm, int num_threads,
+                                 int num_requests) {
   const int64_t in = sm.input_dim();
   const int tasks = sm.num_tasks();
 
@@ -72,7 +72,7 @@ void CheckBatchedMatchesSingleRow(const serve::ServeModel& sm,
     session.Forward(rows.data() + r * in, 1, outs.data());
   }
 
-  serve::MicroBatcher batcher(sm, options);
+  serve::MicroBatcher batcher(sm);
   std::vector<std::thread> workers;
   std::atomic<int> next{0};
   for (int t = 0; t < num_threads; ++t) {
@@ -96,54 +96,28 @@ void CheckBatchedMatchesSingleRow(const serve::ServeModel& sm,
     }
   }
   EXPECT_EQ(batcher.rows_executed(), num_requests);
-  EXPECT_GE(batcher.batches_executed(), 1);
+  EXPECT_EQ(batcher.batches_executed(), num_requests);
+  EXPECT_EQ(batcher.max_batch(), 1);
+  EXPECT_EQ(batcher.deadline_us(), 0);
 }
 
-TEST(ServeBatcherDeterminismTest, SizeTriggeredFlushesMatchSingleRow) {
+TEST(ServeBatcherDeterminismTest, SingleCallerMatchesSingleRow) {
   Fixture f;
-  serve::BatcherOptions opts;
-  opts.max_batch = 8;
-  opts.deadline_us = 1000000;  // deadline effectively off: size triggers
-  CheckBatchedMatchesSingleRow(*f.serve_model, opts, /*num_threads=*/8,
-                               /*num_requests=*/64);
+  CheckInlineMatchesSingleRow(*f.serve_model, /*num_threads=*/1,
+                              /*num_requests=*/16);
 }
 
-TEST(ServeBatcherDeterminismTest, DeadlineFlushesPartialBatches) {
+TEST(ServeBatcherDeterminismTest, ConcurrentCallersMatchSingleRow) {
   Fixture f;
-  serve::BatcherOptions opts;
-  opts.max_batch = 64;  // never fills: every flush is deadline-triggered
-  opts.deadline_us = 100;
-  CheckBatchedMatchesSingleRow(*f.serve_model, opts, /*num_threads=*/4,
-                               /*num_requests=*/24);
+  CheckInlineMatchesSingleRow(*f.serve_model, /*num_threads=*/4,
+                              /*num_requests=*/64);
 }
 
-TEST(ServeBatcherDeterminismTest, MixedTriggerHighContention) {
+TEST(ServeBatcherDeterminismTest, OversubscribedCallersMatchSingleRow) {
   Fixture f;
-  serve::BatcherOptions opts;
-  opts.max_batch = 5;  // does not divide request count: last batch partial
-  opts.deadline_us = 50;
-  CheckBatchedMatchesSingleRow(*f.serve_model, opts, /*num_threads=*/8,
-                               /*num_requests=*/97);
-}
-
-TEST(ServeBatcherDeterminismTest, SingleRequesterDeadlineFlush) {
-  Fixture f;
-  serve::BatcherOptions opts;
-  opts.max_batch = 32;
-  opts.deadline_us = 100;
-  // One thread can never fill the batch; progress relies entirely on the
-  // deadline path (a regression here deadlocks, caught by the test timeout).
-  CheckBatchedMatchesSingleRow(*f.serve_model, opts, /*num_threads=*/1,
-                               /*num_requests=*/6);
-}
-
-TEST(ServeBatcherDeterminismTest, ImmediateFlushWithZeroDeadline) {
-  Fixture f;
-  serve::BatcherOptions opts;
-  opts.max_batch = 16;
-  opts.deadline_us = 0;  // degenerates to (nearly) unbatched serving
-  CheckBatchedMatchesSingleRow(*f.serve_model, opts, /*num_threads=*/4,
-                               /*num_requests=*/32);
+  // More callers than cores: requests interleave at arbitrary points.
+  CheckInlineMatchesSingleRow(*f.serve_model, /*num_threads=*/16,
+                              /*num_requests=*/257);
 }
 
 }  // namespace

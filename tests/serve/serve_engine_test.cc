@@ -2,9 +2,9 @@
 // a frozen ServeModel forward is bitwise identical to the training
 // MtlModel::Forward it snapshots, whether the weights came from the live
 // module or from a nn/serialize checkpoint; (2) zero steady-state heap
-// allocations on the request path — after warm-up, Forward never touches
-// the allocator (activations on the thread's ScratchArena) and never grows
-// the arena's backing chunks.
+// allocations on the request path — after warm-up, neither Forward nor
+// MicroBatcher::Infer touches the allocator (activations on the thread's
+// ScratchArena) or grows the arena's backing chunks.
 
 #include "serve/engine.h"
 
@@ -23,6 +23,7 @@
 #include "mtl/hps.h"
 #include "mtl/mmoe.h"
 #include "nn/serialize.h"
+#include "serve/batcher.h"
 #include "serve/plan.h"
 
 // Global operator new/delete instrumentation for the steady-state
@@ -234,6 +235,7 @@ TEST(ServeEngineTest, ForwardIsHeapAllocationFreeInSteadyState) {
                                           model);
   ASSERT_TRUE(sm.ok()) << sm.status().ToString();
   serve::InferenceSession session(sm.value());
+  serve::MicroBatcher batcher(sm.value());
 
   constexpr int64_t kRows = 16;
   std::vector<float> input(kRows * sm.value().input_dim());
@@ -249,6 +251,7 @@ TEST(ServeEngineTest, ForwardIsHeapAllocationFreeInSteadyState) {
   // Warm up: grows the scratch arena to its high-water mark.
   for (int i = 0; i < 3; ++i) {
     session.Forward(input.data(), kRows, out_ptrs.data());
+    batcher.Infer(input.data(), out_ptrs.data());
   }
 
   const long long heap_before = g_heap_allocs.load();
@@ -256,6 +259,7 @@ TEST(ServeEngineTest, ForwardIsHeapAllocationFreeInSteadyState) {
   for (int i = 0; i < 50; ++i) {
     session.Forward(input.data(), kRows, out_ptrs.data());
     session.Forward(input.data(), 1, out_ptrs.data());
+    batcher.Infer(input.data(), out_ptrs.data());
   }
   EXPECT_EQ(g_heap_allocs.load(), heap_before)
       << "request path touched the heap";

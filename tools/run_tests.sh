@@ -13,7 +13,7 @@
 #                      emitted Chrome-trace JSON must parse, metrics JSONL
 #                      must be line-valid, and conflict telemetry must pass
 #                      the --telemetry schema check (docs/OBSERVABILITY.md)
-#   serve-smoke        bench_serve --smoke closed/open-loop sweep; the
+#   serve-smoke        bench_serve --smoke closed-loop sweep; the
 #                      emitted JSON must pass the --serve schema check
 #                      (docs/SERVING.md)
 #   ctest-simd-off     full suite with the hardware SIMD backend disabled

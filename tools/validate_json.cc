@@ -219,10 +219,10 @@ Status CheckServeNumber(const JsonValue& rec, const char* key, double lo,
 // Checks a BENCH_serve.json document written by bench/bench_serve.cc
 // (docs/SERVING.md "The traffic harness"): the active ISA tier, a
 // non-empty "results" array whose rows carry identifying strings, a
-// serving precision, positive finite throughput, ordered finite latency
-// percentiles, and a batcher occupancy in (0, 1], plus a non-empty
-// "precision_compare" array recording the fp32-vs-bf16 throughput and
-// output-error comparison (docs/SERVING.md "Reduced precision").
+// serving precision, positive finite throughput, and ordered finite latency
+// percentiles, plus a non-empty "precision_compare" array recording the
+// fp32-vs-bf16 throughput and output-error comparison (docs/SERVING.md
+// "Reduced precision").
 Status CheckServeDocument(const JsonValue& doc) {
   if (!doc.is_object()) return BadServe("document must be an object");
   const JsonValue* tier = doc.Find("isa_tier");
@@ -263,11 +263,7 @@ Status CheckServeDocument(const JsonValue& doc) {
     if (p50 > p99) return BadServe("\"p50_us\" must not exceed \"p99_us\"");
     s = CheckServeNumber(rec, "batch", 1.0, kInf, true);
     if (!s.ok()) return s;
-    s = CheckServeNumber(rec, "threads", 1.0, kInf, true);
-    if (!s.ok()) return s;
     s = CheckServeNumber(rec, "requests", 1.0, kInf, true);
-    if (!s.ok()) return s;
-    s = CheckServeNumber(rec, "occupancy", 1e-9, 1.0, false);
     if (!s.ok()) return s;
   }
 
