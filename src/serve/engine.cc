@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_kernels.h"
 
 namespace mocograd {
 namespace serve {
@@ -185,6 +186,10 @@ InferenceSession::InferenceSession(const ServeModel& model) : model_(&model) {
     total_width_ += plan.buffer_widths[b];
   }
   for (const PlanOp& op : plan.ops) {
+    if (op.kind == PlanOp::Kind::kLinear) {
+      max_linear_width_ =
+          std::max(max_linear_width_, plan.buffer_widths[op.out]);
+    }
     const bool writes_input =
         ((op.kind == PlanOp::Kind::kRelu || op.kind == PlanOp::Kind::kSoftmax)
              ? op.in
@@ -202,6 +207,13 @@ void InferenceSession::Forward(const float* input, int64_t rows,
   const ServePlan& plan = model_->plan();
   ScratchScope scope;
   float* slab = scope.AllocFloats(static_cast<size_t>(rows * total_width_));
+  // A single row skips Gemm's front end and calls its m == 1 GEMV kernel
+  // on the whole row (see the kLinear case): this table and the
+  // accumulator are all it needs.
+  const GemmKernels& kern = ActiveGemmKernels();
+  float* gemv_acc =
+      rows == 1 ? scope.AllocFloats(static_cast<size_t>(max_linear_width_))
+                : nullptr;
   // Buffer b >= 1 holds its [rows, width_b] activations contiguously at
   // rows * prefix_b; buffer 0 aliases the caller's input, which no op
   // writes (checked in the constructor) — the cast only unifies the
@@ -242,6 +254,8 @@ void InferenceSession::Forward(const float* input, int64_t rows,
               }
               out[i] = acc;
             }
+          } else if (rows == 1) {
+            kern.gemv_row_axpy_bf16(0, n, k, buf(op.in), w, n, out, gemv_acc);
           } else {
             GemmBf16B(rows, n, k, buf(op.in), k, w, n, out, n);
           }
@@ -270,6 +284,15 @@ void InferenceSession::Forward(const float* input, int64_t rows,
             for (int64_t p = 0; p < k; ++p) acc = simd::MulAdd(row[p], w[p], acc);
             out[i] = acc;
           }
+        } else if (rows == 1) {
+          // Gemm's m == 1 path runs this same kernel over column chunks
+          // whose elements are independent, so the bits match. Calling it
+          // directly keeps the request path off the front end's shared
+          // state: ThreadPool::Global() takes a process-wide mutex on every
+          // call, which concurrent callers contend on.
+          kern.gemv_row_axpy(0, n, k, 1.0f, buf(op.in), 1,
+                             model_->param_data(op.weight), n, 0.0f, out,
+                             gemv_acc);
         } else {
           Gemm(false, false, rows, n, k, 1.0f, buf(op.in), k,
                model_->param_data(op.weight), n, 0.0f, out, n);

@@ -110,6 +110,7 @@ class InferenceSession {
   const ServeModel* model_;
   std::vector<int64_t> buffer_prefix_;  // per-row float offset of each buffer
   int64_t total_width_ = 0;
+  int64_t max_linear_width_ = 0;  // widest kLinear output: GEMV accumulator
 };
 
 }  // namespace serve
