@@ -24,6 +24,7 @@
 #include <cstdint>
 
 #include "base/simd.h"
+#include "base/vec_ops.h"
 
 namespace mocograd {
 namespace vec {
@@ -38,6 +39,14 @@ struct VecKernels {
   void (*ema)(int64_t n, float beta, const float* g, float* m);
   double (*dot_f64)(int64_t n, const float* a, const float* b);
   double (*sum_f64)(int64_t n, const float* a);
+  // out[r * nb + c] = dot_f64(n, a[r], b[c]) bitwise, for r < na, c < nb
+  // (1 <= na, nb <= kDotTile): every pair keeps its own accumulators in
+  // dot_f64's lane order, while each loaded row is shared by the tile. With
+  // `upper` (a == b, na == nb: a diagonal tile of a Gram matrix) only the
+  // c >= r entries are computed; the others are left untouched.
+  void (*dot_f64_tile)(int64_t n, const float* const* a, int na,
+                       const float* const* b, int nb, bool upper,
+                       double* out);
 
   // Elementwise spans (tensor/ops.cc). o may alias a or b.
   void (*ew_add)(int64_t n, const float* a, const float* b, float* o);

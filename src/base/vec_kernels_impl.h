@@ -128,6 +128,91 @@ double SumF64T(int64_t n, const float* a) {
       [&](double s, int64_t i) { return s + static_cast<double>(a[i]); });
 }
 
+// R×C register tile of DotF64T: pair (r, c) runs exactly DotF64T(n, a[r],
+// b[c])'s arithmetic — its own lo/hi accumulators, ReduceAdd(lo + hi), then
+// the sequential scalar tail — but each row is loaded and widened once per
+// step for the whole tile. kUpper (a == b, R == C) skips the c < r pairs
+// and reuses the widened b rows for a.
+template <typename B, int R, int C, bool kUpper>
+void DotF64TileFixedT(int64_t n, const float* const* a,
+                      const float* const* b, double* out) {
+  using F32 = typename B::F32;
+  using F64 = typename B::F64;
+  static_assert(!kUpper || R == C, "upper tiles are square");
+  F64 lo[R][C];
+  F64 hi[R][C];
+  for (int r = 0; r < R; ++r) {
+    for (int c = 0; c < C; ++c) lo[r][c] = hi[r][c] = F64::Zero();
+  }
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    F64 blo[C];
+    F64 bhi[C];
+    for (int c = 0; c < C; ++c) {
+      const F32 vb = F32::Load(b[c] + i);
+      blo[c] = CvtLo(vb);
+      bhi[c] = CvtHi(vb);
+    }
+    for (int r = 0; r < R; ++r) {
+      F64 alo;
+      F64 ahi;
+      if constexpr (kUpper) {
+        alo = blo[r];
+        ahi = bhi[r];
+      } else {
+        const F32 va = F32::Load(a[r] + i);
+        alo = CvtLo(va);
+        ahi = CvtHi(va);
+      }
+      for (int c = kUpper ? r : 0; c < C; ++c) {
+        lo[r][c] = MulAdd(alo, blo[c], lo[r][c]);
+        hi[r][c] = MulAdd(ahi, bhi[c], hi[r][c]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int c = kUpper ? r : 0; c < C; ++c) {
+      double s = ReduceAdd(lo[r][c] + hi[r][c]);
+      for (int64_t t = i; t < n; ++t) {
+        s = simd::MulAdd(static_cast<double>(a[r][t]),
+                         static_cast<double>(b[c][t]), s);
+      }
+      out[r * C + c] = s;
+    }
+  }
+}
+
+template <typename B, int R>
+void DotF64TileRowsT(int64_t n, const float* const* a,
+                     const float* const* b, int nb, double* out) {
+  switch (nb) {
+    case 1: return DotF64TileFixedT<B, R, 1, false>(n, a, b, out);
+    case 2: return DotF64TileFixedT<B, R, 2, false>(n, a, b, out);
+    case 3: return DotF64TileFixedT<B, R, 3, false>(n, a, b, out);
+    default: return DotF64TileFixedT<B, R, 4, false>(n, a, b, out);
+  }
+}
+
+template <typename B>
+void DotF64TileT(int64_t n, const float* const* a, int na,
+                 const float* const* b, int nb, bool upper, double* out) {
+  static_assert(kDotTile == 4, "the dispatch below covers 1..4 rows");
+  if (upper) {
+    switch (na) {
+      case 1: return DotF64TileFixedT<B, 1, 1, true>(n, a, b, out);
+      case 2: return DotF64TileFixedT<B, 2, 2, true>(n, a, b, out);
+      case 3: return DotF64TileFixedT<B, 3, 3, true>(n, a, b, out);
+      default: return DotF64TileFixedT<B, 4, 4, true>(n, a, b, out);
+    }
+  }
+  switch (na) {
+    case 1: return DotF64TileRowsT<B, 1>(n, a, b, nb, out);
+    case 2: return DotF64TileRowsT<B, 2>(n, a, b, nb, out);
+    case 3: return DotF64TileRowsT<B, 3>(n, a, b, nb, out);
+    default: return DotF64TileRowsT<B, 4>(n, a, b, nb, out);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Elementwise spans (tensor/ops.cc). Each applies one generic functor —
 // valid on both float and 8-lane operands — in 8-lane blocks with a scalar
@@ -338,6 +423,7 @@ VecKernels MakeVecKernels() {
   k.ema = &EmaT<B>;
   k.dot_f64 = &DotF64T<B>;
   k.sum_f64 = &SumF64T<B>;
+  k.dot_f64_tile = &DotF64TileT<B>;
   k.ew_add = &EwAddT<B>;
   k.ew_sub = &EwSubT<B>;
   k.ew_mul = &EwMulT<B>;

@@ -1,5 +1,6 @@
 #include "base/vec_ops.h"
 
+#include "base/check.h"
 #include "base/vec_kernels.h"
 
 namespace mocograd {
@@ -29,6 +30,13 @@ void Ema(int64_t n, float beta, const float* g, float* m) {
 
 double DotF64(int64_t n, const float* a, const float* b) {
   return ActiveVecKernels().dot_f64(n, a, b);
+}
+
+void DotF64Tile(int64_t n, const float* const* a, int na,
+                const float* const* b, int nb, bool upper, double* out) {
+  MG_DCHECK(na >= 1 && na <= kDotTile && nb >= 1 && nb <= kDotTile);
+  MG_DCHECK(!upper || (a == b && na == nb));
+  ActiveVecKernels().dot_f64_tile(n, a, na, b, nb, upper, out);
 }
 
 double SquaredNormF64(int64_t n, const float* a) { return DotF64(n, a, a); }

@@ -38,6 +38,15 @@ void Ema(int64_t n, float beta, const float* g, float* m);
 /// fixed lane order at the end; tail elements fold in sequentially.
 double DotF64(int64_t n, const float* a, const float* b);
 
+/// Largest row count on either side of one DotF64Tile call.
+constexpr int kDotTile = 4;
+
+/// out[r * nb + c] = DotF64(n, a[r], b[c]) bitwise for r < na, c < nb
+/// (1 <= na, nb <= kDotTile): one pass computes the whole tile. With
+/// `upper` (a == b, na == nb) only the c >= r entries are written.
+void DotF64Tile(int64_t n, const float* const* a, int na,
+                const float* const* b, int nb, bool upper, double* out);
+
 /// Σ a[i]² in double precision (same decomposition as DotF64).
 double SquaredNormF64(int64_t n, const float* a);
 

@@ -27,7 +27,7 @@ struct AggregationContext {
   /// Optional sub-phase attribution sink. When non-null, methods with
   /// non-trivial inner work add their wall-clock split here (canonical
   /// bucket names: "gram", "solver", "eigen", "surgery", "calibrate",
-  /// "momentum", "combine" — see docs/OBSERVABILITY.md). May stay null;
+  /// "combine" — see docs/OBSERVABILITY.md). May stay null;
   /// methods must not change behavior based on it.
   obs::PhaseProfile* profile = nullptr;
   /// Optional decision-trace sink (docs/OBSERVABILITY.md "Conflict

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/check.h"
+#include "base/scratch.h"
 
 namespace mocograd {
 namespace core {
@@ -38,11 +39,17 @@ ConflictStats ComputeConflictStats(const GradMatrix& grads) {
 
 std::vector<double> PairwiseCosines(const GradMatrix& grads) {
   const int k = grads.num_tasks();
+  ScratchScope scope;
+  double* gram = static_cast<double*>(
+      scope.Alloc(static_cast<size_t>(k) * k * sizeof(double)));
+  grads.Gram(gram);
+  auto at = [&](int i, int j) { return gram[static_cast<size_t>(i) * k + j]; };
   std::vector<double> cosines(static_cast<size_t>(k) * k, 1.0);
   for (int i = 0; i < k; ++i) {
     for (int j = i + 1; j < k; ++j) {
-      const double cos =
-          CosineSimilarity(grads.Row(i), grads.Row(j), grads.dim());
+      // CosineSimilarity's form and zero-norm rule, on the Gram entries.
+      const double denom = std::sqrt(at(i, i)) * std::sqrt(at(j, j));
+      const double cos = denom < kEps ? 0.0 : at(i, j) / denom;
       cosines[static_cast<size_t>(i) * k + j] = cos;
       cosines[static_cast<size_t>(j) * k + i] = cos;
     }

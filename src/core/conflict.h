@@ -38,7 +38,9 @@ struct ConflictStats {
 ConflictStats ComputeConflictStats(const GradMatrix& grads);
 
 /// The full K×K pairwise cosine matrix of the task gradients (row-major,
-/// symmetric, diagonal 1). Same per-pair math as CosineSimilarity.
+/// symmetric, diagonal 1), read off GradMatrix::Gram with
+/// CosineSimilarity's zero-norm rule. Agrees with CosineSimilarity to
+/// rounding (the Gram sums in a different order), not bitwise.
 std::vector<double> PairwiseCosines(const GradMatrix& grads);
 
 /// Conflict statistics from an already-computed K×K cosine matrix — the

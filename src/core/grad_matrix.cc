@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "base/scratch.h"
 #include "base/thread_pool.h"
 #include "base/vec_ops.h"
 
@@ -54,14 +55,65 @@ double GradMatrix::RowDot(int i, int j) const {
 
 double GradMatrix::RowNorm(int i) const { return std::sqrt(RowDot(i, i)); }
 
-std::vector<std::vector<double>> GradMatrix::Gram() const {
-  std::vector<std::vector<double>> m(num_tasks_,
-                                     std::vector<double>(num_tasks_, 0.0));
-  for (int i = 0; i < num_tasks_; ++i) {
-    for (int j = i; j < num_tasks_; ++j) {
-      m[i][j] = m[j][i] = RowDot(i, j);
+void GradMatrix::Gram(double* out) const {
+  // RowDot's blocks and partial order, with the upper triangle of each
+  // block computed in vec::kDotTile-row tiles (the diagonal tiles skip the
+  // lower pairs), so every entry is bitwise RowDot(i, j) at any pool size.
+  const int k = num_tasks_;
+  const size_t kk = static_cast<size_t>(k) * k;
+  const int64_t num_blocks = (dim_ + kReduceBlock - 1) / kReduceBlock;
+  ScratchScope scope;
+  double* partials = static_cast<double*>(
+      scope.Alloc(static_cast<size_t>(num_blocks) * kk * sizeof(double)));
+  ParallelFor(0, num_blocks, 1, [&](int64_t b0, int64_t b1) {
+    const float* a[vec::kDotTile];
+    const float* b[vec::kDotTile];
+    double tile[vec::kDotTile * vec::kDotTile];
+    for (int64_t blk = b0; blk < b1; ++blk) {
+      const int64_t p0 = blk * kReduceBlock;
+      const int64_t n = std::min(dim_, p0 + kReduceBlock) - p0;
+      double* part = partials + blk * kk;
+      for (int i0 = 0; i0 < k; i0 += vec::kDotTile) {
+        const int ni = std::min(vec::kDotTile, k - i0);
+        for (int r = 0; r < ni; ++r) a[r] = Row(i0 + r) + p0;
+        for (int j0 = i0; j0 < k; j0 += vec::kDotTile) {
+          const int nj = std::min(vec::kDotTile, k - j0);
+          const bool diag = j0 == i0;
+          for (int c = 0; c < nj; ++c) b[c] = Row(j0 + c) + p0;
+          vec::DotF64Tile(n, diag ? b : a, ni, b, nj, diag, tile);
+          for (int r = 0; r < ni; ++r) {
+            for (int c = diag ? r : 0; c < nj; ++c) {
+              part[static_cast<size_t>(i0 + r) * k + j0 + c] =
+                  tile[r * nj + c];
+            }
+          }
+        }
+      }
+    }
+  });
+  for (int i = 0; i < k; ++i) {
+    for (int j = i; j < k; ++j) {
+      const size_t e = static_cast<size_t>(i) * k + j;
+      double s = partials[e];
+      if (num_blocks > 1) {
+        s = 0.0;
+        for (int64_t blk = 0; blk < num_blocks; ++blk) {
+          s += partials[blk * kk + e];
+        }
+      }
+      out[e] = out[static_cast<size_t>(j) * k + i] = s;
     }
   }
+}
+
+std::vector<std::vector<double>> GradMatrix::Gram() const {
+  const int k = num_tasks_;
+  ScratchScope scope;
+  double* flat = static_cast<double*>(
+      scope.Alloc(static_cast<size_t>(k) * k * sizeof(double)));
+  Gram(flat);
+  std::vector<std::vector<double>> m(k);
+  for (int i = 0; i < k; ++i) m[i].assign(flat + i * k, flat + (i + 1) * k);
   return m;
 }
 

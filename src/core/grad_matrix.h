@@ -49,8 +49,14 @@ class GradMatrix {
   /// ‖g_i‖₂.
   double RowNorm(int i) const;
 
-  /// Full K×K Gram matrix.
+  /// Full K×K Gram matrix in one pass over the rows; entry (i, j) is
+  /// bitwise RowDot(i, j), at any pool size and kernel tier.
   std::vector<std::vector<double>> Gram() const;
+
+  /// The same Gram, written row-major into `out` (K·K doubles); its only
+  /// scratch comes from the thread's ScratchArena, so a per-step caller
+  /// adds no heap allocation.
+  void Gram(double* out) const;
 
   /// Σ_k g_k.
   std::vector<float> SumRows() const;

@@ -1,8 +1,11 @@
 #include "core/mocograd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "base/scratch.h"
+#include "base/thread_pool.h"
 #include "base/vec_ops.h"
 #include "core/conflict.h"
 
@@ -11,6 +14,19 @@ namespace core {
 
 namespace {
 constexpr double kNormEps = 1e-12;
+// Columns per ParallelFor chunk of the combine pass.
+constexpr int64_t kColGrain = 1 << 14;
+// Columns per replay of the term list: the output chunk and the rows it
+// reads stay cache-resident across the K-long term sequence.
+constexpr int64_t kCombineChunk = 4096;
+
+// One D-length update of the shared gradient: y += x (`add`, the task's own
+// g_i) or y += scale · x (an Eq. 8 calibration term).
+struct CalibrationTerm {
+  const float* row;
+  float scale;
+  bool add;
+};
 }  // namespace
 
 MoCoGrad::MoCoGrad(MoCoGradOptions options) : options_(options) {
@@ -41,12 +57,24 @@ AggregationResult MoCoGrad::Aggregate(const AggregationContext& ctx) {
   MG_CHECK_EQ(static_cast<int>(momenta_.size()), k,
               "task count changed across steps; call Reset()");
 
-  // Pre-compute per-task gradient and momentum norms.
+  // The K×K Gram and the update list live in the thread's scratch arena.
+  // Heap rows for them shifted glibc's heap layout under the trainer's
+  // per-step gradient matrix (9 MB at K = 11, D = 205,696) enough that it
+  // was trimmed and page-faulted back in on every step (measured).
+  ScratchScope scope;
+  double* gram = static_cast<double*>(
+      scope.Alloc(static_cast<size_t>(k) * k * sizeof(double)));
+  // At most K updates per task: g_i plus one term per other task.
+  CalibrationTerm* terms = static_cast<CalibrationTerm*>(
+      scope.Alloc(static_cast<size_t>(k) * k * sizeof(CalibrationTerm)));
+
+  // Every pairwise dot in one pass; the gradient norms are its diagonal.
   std::vector<double> g_norm(k), m_norm(k);
   {
-    obs::ScopedPhase norms_phase(ctx.profile, "norms");
+    obs::ScopedPhase gram_phase(ctx.profile, "gram");
+    g.Gram(gram);
     for (int i = 0; i < k; ++i) {
-      g_norm[i] = g.RowNorm(i);
+      g_norm[i] = std::sqrt(gram[static_cast<size_t>(i) * k + i]);
       m_norm[i] = std::sqrt(vec::SquaredNormF64(p, momenta_[i].data()));
     }
   }
@@ -65,8 +93,13 @@ AggregationResult MoCoGrad::Aggregate(const AggregationContext& ctx) {
   // the random order provides the calibration — equivalently, a uniformly
   // random conflicting partner. This is what makes Theorem 1's ‖ĝ‖ ≤
   // K(1+λ)G bound hold (exactly one calibration term per task).
-  // Adds the Eq. (8) calibration term for partner j to the output and
-  // returns the applied scale λ·‖g_j‖/‖m_j‖ (0 when nothing was added).
+  //
+  // Nothing D-length happens in this loop: each update is recorded in the
+  // order it applies (per task: its accumulate_all_conflicts terms, g_i,
+  // then the chosen partner's term) and the combine pass replays them.
+  // add_calibration records the Eq. (8) term for partner j and returns the
+  // applied scale λ·‖g_j‖/‖m_j‖ (0 when there is nothing to add).
+  size_t num_terms = 0;
   auto add_calibration = [&](int j) -> double {
     // Cold start (‖m_j‖ ≈ 0) falls back to the raw gradient g_j, the
     // history-free limit of Eq. (9).
@@ -82,7 +115,7 @@ AggregationResult MoCoGrad::Aggregate(const AggregationContext& ctx) {
     if (dir_norm <= kNormEps) return 0.0;  // zero gradient: nothing to add
     const float scale =
         static_cast<float>(options_.lambda * g_norm[j] / dir_norm);
-    vec::Axpy(p, scale, dir, out.shared_grad.data());
+    terms[num_terms++] = {dir, scale, false};
     return scale;
   };
 
@@ -90,17 +123,16 @@ AggregationResult MoCoGrad::Aggregate(const AggregationContext& ctx) {
     obs::ScopedPhase calibrate_phase(ctx.profile, "calibrate");
     std::vector<int> others(k);
     std::iota(others.begin(), others.end(), 0);
-    // MG_HOT_PATH — the O(K²·p) conflict/calibration sweep; all vector
-    // arithmetic goes through the vec:: kernels, no allocation.
+    // MG_HOT_PATH — the O(K²) conflict decisions, read off the Gram; the
+    // D-length work is only recorded here and replayed below.
     for (int i = 0; i < k; ++i) {
-      const float* gi = g.Row(i);
       int chosen = -1;
       ctx.rng->Shuffle(others);
       for (int j : others) {
         if (j == i) continue;
         // GCD(g_i, g_j) > 1 ⇔ g_i · g_j < 0 (Definition 3); the dot product
         // is the numerically robust form of the test.
-        const double dot = g.RowDot(i, j);
+        const double dot = gram[static_cast<size_t>(i) * k + j];
         if (ctx.trace != nullptr) {
           // The sweep visits every ordered pair, so MoCoGrad publishes the
           // complete raw cosine matrix for free.
@@ -122,7 +154,7 @@ AggregationResult MoCoGrad::Aggregate(const AggregationContext& ctx) {
           }
         }
       }
-      vec::Add(p, gi, out.shared_grad.data());
+      terms[num_terms++] = {g.Row(i), 1.0f, true};
       // Eq. (8): ĝ_i = g_i + λ (‖g_j‖/‖m_j‖) m_j for the chosen partner.
       if (chosen >= 0) {
         const double scale = add_calibration(chosen);
@@ -134,13 +166,32 @@ AggregationResult MoCoGrad::Aggregate(const AggregationContext& ctx) {
     // MG_HOT_PATH_END
   }
 
-  // Eq. (9): one EMA update per task per step.
+  // One pass over the columns: each chunk replays the recorded sums in
+  // order, then applies Eq. (9)'s EMA to every momentum (the sums read
+  // m^{t-1} of the chunk first). Every op is elementwise, so the chunking
+  // changes no bit.
   {
-    obs::ScopedPhase momentum_phase(ctx.profile, "momentum");
+    obs::ScopedPhase combine_phase(ctx.profile, "combine");
     const float b1 = options_.beta1;
-    for (int j = 0; j < k; ++j) {
-      vec::Ema(p, b1, g.Row(j), momenta_[j].data());
-    }
+    float* acc = out.shared_grad.data();
+    // MG_HOT_PATH — the single D-length pass of the step.
+    ParallelFor(0, p, kColGrain, [&](int64_t c0, int64_t c1) {
+      for (int64_t q = c0; q < c1; q += kCombineChunk) {
+        const int64_t n = std::min(kCombineChunk, c1 - q);
+        for (size_t t = 0; t < num_terms; ++t) {
+          const CalibrationTerm& term = terms[t];
+          if (term.add) {
+            vec::Add(n, term.row + q, acc + q);
+          } else {
+            vec::Axpy(n, term.scale, term.row + q, acc + q);
+          }
+        }
+        for (int j = 0; j < k; ++j) {
+          vec::Ema(n, b1, g.Row(j) + q, momenta_[j].data() + q);
+        }
+      }
+    });
+    // MG_HOT_PATH_END
   }
   return out;
 }

@@ -92,7 +92,7 @@ class AggregatorTrace {
   const std::vector<double>& solver_weights() const { return solver_weights_; }
 
   /// Per-task ‖g_i‖ / ‖m_i‖, published by methods that already computed
-  /// them (MoCoGrad's norms phase). Empty when not published.
+  /// them (MoCoGrad's gram phase). Empty when not published.
   void set_grad_norms(const std::vector<double>& v) { grad_norms_ = v; }
   const std::vector<double>& grad_norms() const { return grad_norms_; }
   void set_momentum_norms(const std::vector<double>& v) {

@@ -22,6 +22,7 @@
 #include "base/rng.h"
 #include "base/simd.h"
 #include "base/thread_pool.h"
+#include "base/vec_ops.h"
 #include "core/grad_matrix.h"
 #include "core/registry.h"
 #include "mtl/hps.h"
@@ -219,19 +220,30 @@ TEST_F(SimdDeterminismTest, GradMatrixOpsBitIdenticalAcrossBackendsAndPools) {
   bool have_ref = false;
   double dot0 = 0;
   std::vector<float> sum0, wsum0;
+  std::vector<std::vector<double>> gram0;
   for (const auto& [enabled, threads] : kConfigs) {
     simd::SetEnabled(enabled);
     ThreadPool::SetGlobalNumThreads(threads);
     const double dot = grads.RowDot(0, 1);
     std::vector<float> sum = grads.SumRows();
     std::vector<float> wsum = grads.WeightedSumRows(w);
+    std::vector<std::vector<double>> gram = grads.Gram();
     if (!have_ref) {
       have_ref = true;
       dot0 = dot;
       sum0 = std::move(sum);
       wsum0 = std::move(wsum);
+      gram0 = std::move(gram);
+      EXPECT_EQ(std::memcmp(&gram0[0][1], &dot0, sizeof(double)), 0);
     } else {
       EXPECT_EQ(std::memcmp(&dot, &dot0, sizeof(double)), 0);
+      for (int i = 0; i < kTasks; ++i) {
+        EXPECT_EQ(std::memcmp(gram[i].data(), gram0[i].data(),
+                              kTasks * sizeof(double)),
+                  0)
+            << "Gram row " << i << " differs (simd=" << enabled
+            << ", threads=" << threads << ")";
+      }
       EXPECT_TRUE(BitIdentical(sum0, sum));
       EXPECT_TRUE(BitIdentical(wsum0, wsum));
     }
@@ -332,12 +344,53 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
   Tensor ew = Tensor::Randn({10007}, rng);
   std::vector<uint16_t> b16(static_cast<size_t>(k) * n);
   for (size_t i = 0; i < b16.size(); ++i) b16[i] = Bf16FromF32(bb.data()[i]);
+  // Rows for the multi-pair dot tile: a ragged tail (1003 = 125 full 8-lane
+  // steps + 3), ±0 salt in rows 0-1, and a NaN in row 3 (one in a full
+  // step, one in the tail), so both finite and NaN tile entries compare.
+  const int64_t tn = 1003;
+  Tensor trows = Tensor::Randn({vec::kDotTile, tn}, rng);
+  const float kNan = std::numeric_limits<float>::quiet_NaN();
+  trows.data()[0] = -0.0f;
+  trows.data()[tn - 1] = 0.0f;
+  trows.data()[tn + 17] = -0.0f;
+  trows.data()[2 * tn - 2] = -0.0f;
+  trows.data()[3 * tn + 40] = kNan;
+  trows.data()[4 * tn - 1] = kNan;
+  const float* tr[vec::kDotTile];
+  for (int r = 0; r < vec::kDotTile; ++r) tr[r] = trows.data() + r * tn;
+  // Every tile shape, rectangular and upper-triangular; each entry must be
+  // bitwise the single-pair DotF64 of the same tier.
+  auto tile_dots = [&]() {
+    std::vector<double> dots;
+    for (bool upper : {false, true}) {
+      for (int na = 1; na <= vec::kDotTile; ++na) {
+        for (int nb = 1; nb <= vec::kDotTile; ++nb) {
+          if (upper && na != nb) continue;
+          const float* const* b = upper ? tr : tr + (vec::kDotTile - nb);
+          double out[vec::kDotTile * vec::kDotTile];
+          vec::DotF64Tile(tn, tr, na, b, nb, upper, out);
+          for (int r = 0; r < na; ++r) {
+            for (int c = upper ? r : 0; c < nb; ++c) {
+              const double want = vec::DotF64(tn, tr[r], b[c]);
+              EXPECT_EQ(std::memcmp(&out[r * nb + c], &want, sizeof(double)),
+                        0)
+                  << "tile " << na << "x" << nb << " upper=" << upper
+                  << " (" << r << ", " << c << ")";
+              dots.push_back(out[r * nb + c]);
+            }
+          }
+        }
+      }
+    }
+    return dots;
+  };
 
   const std::vector<simd::IsaTier> tiers = AvailableTiers();
   ASSERT_FALSE(tiers.empty());
 
   Tensor ref_c, ref_blk, ref_relu, ref_opt;
   std::vector<float> ref_bf16, ref_bf16_row;
+  std::vector<double> ref_tile;
   float ref_sum = 0.0f;
   bool have_ref = false;
   for (simd::IsaTier tier : tiers) {
@@ -363,6 +416,7 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
       optim::Adam opt({&w}, 1e-2f);
       w.mutable_grad().CopyFrom(Tensor::Randn({13, 7}, grng));
       opt.Step();
+      const std::vector<double> tile = tile_dots();
 
       if (!have_ref) {
         have_ref = true;
@@ -373,6 +427,7 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
         ref_relu = relu;
         ref_sum = sum;
         ref_opt = w.value().Clone();
+        ref_tile = tile;
         // The bf16 batched rows and the m == 1 row agree per element
         // (batch-invariant serving).
         for (int64_t j = 0; j < n; ++j) {
@@ -400,6 +455,11 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
             << ")";
         EXPECT_TRUE(BitIdentical(ref_opt, w.value()))
             << "Adam differs (tier=" << name << ", threads=" << threads
+            << ")";
+        EXPECT_TRUE(tile.size() == ref_tile.size() &&
+                    std::memcmp(tile.data(), ref_tile.data(),
+                                tile.size() * sizeof(double)) == 0)
+            << "DotF64Tile differs (tier=" << name << ", threads=" << threads
             << ")";
       }
     }
