@@ -92,6 +92,17 @@ std::vector<Node*> TopoPostOrder(Node* root) {
   return order;
 }
 
+// Adds `g` into `dest`. A first contribution is written in one pass as
+// 0.0f + g, the bits Zeros + AddInPlace would leave (−0 becomes +0), with
+// no zero-fill.
+void AddContribution(Tensor& dest, const Tensor& g) {
+  if (dest.defined()) {
+    tops::AddInPlace(dest, g);
+  } else {
+    dest = tops::AddScalar(g, 0.0f);
+  }
+}
+
 // Accumulates `g` into the node's destination: the persistent grad buffer
 // (sink == nullptr; every reached node, so users can inspect interior
 // grads), or the caller's sink (leaves only; the tape stays untouched so
@@ -100,8 +111,7 @@ std::vector<Node*> TopoPostOrder(Node* root) {
 void AccumulateDestination(Node* n, const Tensor& g,
                            Variable::GradSink* sink) {
   if (sink == nullptr) {
-    if (!n->grad.defined()) n->grad = Tensor::Zeros(n->value.shape());
-    tops::AddInPlace(n->grad, g);
+    AddContribution(n->grad, g);
   } else if (!n->grad_fn) {
     // The entry exists: the sequential engine inserts it here, the
     // ready-queue engine pre-inserts every leaf entry on the calling thread
@@ -109,9 +119,7 @@ void AccumulateDestination(Node* n, const Tensor& g,
     // mg_analyze:allow(nondeterminism)
     auto it = sink->find(n);
     MG_CHECK(it != sink->end(), "sink entry missing for leaf ", n->op);
-    Tensor& slot = it->second;
-    if (!slot.defined()) slot = Tensor::Zeros(n->value.shape());
-    tops::AddInPlace(slot, g);
+    AddContribution(it->second, g);
   }
 }
 
@@ -227,11 +235,11 @@ struct GraphTask {
   std::vector<Tensor> slots;    // fixed per-edge accumulation slots
   Variable::GradSink* sink = nullptr;
   // Pinned on the calling thread at build time. Workers must never call
-  // ThreadPool::Global() — it locks the global pool mutex, which
-  // SetGlobalNumThreads holds while joining workers, so a straggling helper
-  // that reaches for the global accessor after its sweep finished would
-  // deadlock the resize. Submitting to the pinned pool is safe even during
-  // its shutdown: workers drain the queue before joining.
+  // ThreadPool::Global() — while SetGlobalNumThreads joins workers the slot
+  // is empty and Global() waits on the mutex the resize holds, so a
+  // straggling helper that reaches for the global accessor after its sweep
+  // finished would deadlock the resize. Submitting to the pinned pool is
+  // safe even during its shutdown: workers drain the queue before joining.
   ThreadPool* pool = nullptr;
 
   Mutex mu;

@@ -95,12 +95,13 @@ std::string StrCatForCheck(const Args&... args) {
 // Thread-safety capability annotations (Clang -Wthread-safety).
 //
 // The fork–join contract (docs/ARCHITECTURE.md) and the lock discipline of
-// the concurrent components (thread pool, autograd executor, tracer,
-// metrics registry, telemetry sink, watchdog) are proved at compile
-// time on Clang: fields carry MG_GUARDED_BY(mu), functions that expect the
-// lock held carry MG_REQUIRES(mu), and the base/mutex.h wrapper types carry
-// the acquire/release capability transitions. GCC and MSVC compile the
-// macros to nothing — annotations never change codegen, only diagnostics.
+// the concurrent components (thread pool, autograd executor, tensor-storage
+// free list, tracer, metrics registry, telemetry sink, watchdog) are proved
+// at compile time on Clang: fields carry MG_GUARDED_BY(mu), functions that
+// expect the lock held carry MG_REQUIRES(mu), and the base/mutex.h wrapper
+// types carry the acquire/release capability transitions. GCC and MSVC
+// compile the macros to nothing — annotations never change codegen, only
+// diagnostics.
 // The release CI leg builds with Clang and -Werror=thread-safety so a
 // guarded field touched without its lock fails the build
 // (docs/CORRECTNESS.md "Lock discipline").

@@ -24,12 +24,14 @@ int DefaultNumThreads() {
                    /*max_value=*/1024);
 }
 
-// The process-wide pool slot and the mutex guarding it, as one annotatable
-// unit. Heap-allocated and never freed: workers must not outlive their
-// pool's synchronization primitives during static destruction.
+// The process-wide pool slot. Readers load it lock-free (every
+// ParallelFor does); `mu` only serializes creation and
+// SetGlobalNumThreads, the two writers. Heap-allocated and never freed:
+// workers must not outlive their pool's synchronization primitives during
+// static destruction.
 struct GlobalPool {
   Mutex mu;
-  ThreadPool* pool MG_GUARDED_BY(mu) = nullptr;
+  std::atomic<ThreadPool*> pool{nullptr};
 };
 
 GlobalPool& GlobalPoolState() {
@@ -121,24 +123,33 @@ void ThreadPool::WorkerMain() {
 
 ThreadPool& ThreadPool::Global() {
   GlobalPool& g = GlobalPoolState();
+  ThreadPool* pool = g.pool.load(std::memory_order_acquire);
+  if (pool != nullptr) return *pool;
   MutexLock lk(&g.mu);
-  if (g.pool == nullptr) {
+  pool = g.pool.load(std::memory_order_relaxed);
+  if (pool == nullptr) {
     // MG_COLD_PATH: first-use creation of the process-wide pool.
-    g.pool = new ThreadPool(DefaultNumThreads());
+    pool = new ThreadPool(DefaultNumThreads());
     // MG_COLD_PATH_END
+    g.pool.store(pool, std::memory_order_release);
   }
-  return *g.pool;
+  return *pool;
 }
 
 void ThreadPool::SetGlobalNumThreads(int n) {
   MG_CHECK_GE(n, 1, "SetGlobalNumThreads");
   GlobalPool& g = GlobalPoolState();
   MutexLock lk(&g.mu);
-  if (g.pool != nullptr && g.pool->num_threads() == n) return;
-  delete g.pool;  // drains and joins the old workers
+  ThreadPool* old = g.pool.load(std::memory_order_relaxed);
+  if (old != nullptr && old->num_threads() == n) return;
+  // Empty the slot first, so a concurrent Global() waits on `mu` for the
+  // new pool instead of returning the one being joined.
+  g.pool.store(nullptr, std::memory_order_relaxed);
+  delete old;  // drains and joins the old workers
   // MG_COLD_PATH: explicit resize, never on a compute path.
-  g.pool = new ThreadPool(n);
+  ThreadPool* fresh = new ThreadPool(n);
   // MG_COLD_PATH_END
+  g.pool.store(fresh, std::memory_order_release);
 }
 
 int ThreadPool::GlobalNumThreads() { return Global().num_threads(); }

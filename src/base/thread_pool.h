@@ -45,7 +45,9 @@ class ThreadPool {
 
   /// The process-wide pool, created on first use (see class comment for
   /// sizing). The instance is intentionally never destroyed so that worker
-  /// threads cannot race static destruction at process exit.
+  /// threads cannot race static destruction at process exit. Once the pool
+  /// exists this is one atomic load — no lock — so concurrent ParallelFor
+  /// callers never contend here.
   static ThreadPool& Global();
 
   /// Replaces the global pool with one of `n` participants (n >= 1). The
@@ -105,7 +107,7 @@ void ParallelFor(int64_t begin, int64_t end, int64_t grain, Body&& body) {
   const int64_t n = end - begin;
   if (n <= 0) return;
   if (grain < 1) grain = 1;
-  if (ThreadPool::Global().num_threads() <= 1 || n <= grain) {
+  if (n <= grain || ThreadPool::Global().num_threads() <= 1) {
     body(begin, end);  // serial fallback: no state, no synchronization
     return;
   }

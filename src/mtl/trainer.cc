@@ -99,7 +99,13 @@ StepStats MtlTrainer::Step(const std::vector<Batch>& batches) {
   std::vector<Variable*> shared = model_->SharedParameters();
   int64_t shared_dim = 0;
   for (Variable* p : shared) shared_dim += p->NumElements();
-  core::GradMatrix task_grads(k, shared_dim);
+  // Kept across steps: the flatten below writes every element of every
+  // row (copy or zero), so nothing from the previous step survives.
+  if (task_grads_ == nullptr || task_grads_->num_tasks() != k ||
+      task_grads_->dim() != shared_dim) {
+    task_grads_ = std::make_unique<core::GradMatrix>(k, shared_dim);
+  }
+  core::GradMatrix& task_grads = *task_grads_;
   std::vector<std::vector<Tensor>> task_specific_grads(k);
 
   {

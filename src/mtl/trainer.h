@@ -9,6 +9,7 @@
 #include "core/aggregator.h"
 #include "core/analysis.h"
 #include "core/conflict.h"
+#include "core/grad_matrix.h"
 #include "data/batch.h"
 #include "mtl/model.h"
 #include "mtl/watchdog.h"
@@ -167,6 +168,11 @@ class MtlTrainer {
   /// (cosines, per-pair calibration/projection decisions, solver weights).
   const obs::AggregatorTrace& last_trace() const { return trace_; }
 
+  /// The task-gradient matrix of the most recent Step. One matrix is sized
+  /// on the first step and reused while K and the shared dimension stay
+  /// the same; null before the first step.
+  const core::GradMatrix* last_task_grads() const { return task_grads_.get(); }
+
  private:
   MtlModel* model_;
   core::GradientAggregator* aggregator_;
@@ -179,6 +185,7 @@ class MtlTrainer {
   bool conflict_stats_enabled_ = true;
   std::string method_name_;       // cached aggregator_->name()
   obs::AggregatorTrace trace_;    // reused across steps (no per-step alloc)
+  std::unique_ptr<core::GradMatrix> task_grads_;  // reused across steps
   TrainingWatchdog watchdog_;     // options from env by default
   obs::TelemetrySink* telemetry_ = nullptr;
 };

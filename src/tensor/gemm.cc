@@ -230,13 +230,18 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   MG_METRIC_COUNT("gemm.calls", 1);
   MG_METRIC_COUNT("gemm.flops", 2 * m * n * k);
   if (k == 0 || alpha == 0.0f) {
-    // Pure C-scaling; rows are independent.
+    // Pure C-scaling; rows are independent. With beta == 0, C is not read
+    // (BLAS semantics), so NaN/Inf or unset memory in C becomes +0.
     if (beta != 1.0f) {
       const int64_t grain = std::max<int64_t>(1, kMinFlopsPerChunk / n);
       ParallelFor(0, m, grain, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) {
           float* c_row = c + i * ldc;
-          for (int64_t j = 0; j < n; ++j) c_row[j] *= beta;
+          if (beta == 0.0f) {
+            std::memset(c_row, 0, static_cast<size_t>(n) * sizeof(float));
+          } else {
+            for (int64_t j = 0; j < n; ++j) c_row[j] *= beta;
+          }
         }
       });
     }

@@ -48,13 +48,14 @@ double BlockedReduce(int64_t n, BlockFn block_fn) {
 // on one float pair, used by the strided broadcast walk. Shapes are padded
 // to a common rank; strides of broadcast (size-1) axes are zero. Every
 // output element is written independently, so flat-index ranges
-// parallelize with bit-identical results.
+// parallelize with bit-identical results — and the output needs no
+// zero-fill.
 template <typename SpanFn, typename Fn>
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b, SpanFn span_fn,
                        Fn fn) {
   MG_CHECK(a.defined() && b.defined());
   const Shape out_shape = Shape::Broadcast(a.shape(), b.shape());
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);
 
   // Fast path: identical shapes — vectorized.
   if (a.shape() == b.shape()) {
@@ -64,6 +65,27 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, SpanFn span_fn,
     const int64_t n = out.NumElements();
     ParallelFor(0, n, kElemGrain, [&](int64_t i0, int64_t i1) {
       span_fn(i1 - i0, pa + i0, pb + i0, po + i0);
+    });
+    return out;
+  }
+
+  // Row broadcast: a [n, d] against a bias-like b of shape [d] or [1, d]
+  // (every Linear's bias add). The span kernel runs once per row; it does
+  // the same per-element arithmetic as `fn`, so the bits match the strided
+  // walk below.
+  if (a.Rank() == 2 && a.shape() == out_shape &&
+      b.NumElements() == a.Dim(1) &&
+      (b.Rank() == 1 || (b.Rank() == 2 && b.Dim(0) == 1))) {
+    const int64_t rows = a.Dim(0), d = a.Dim(1);
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    const int64_t grain =
+        std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, d));
+    ParallelFor(0, rows, grain, [&](int64_t r0, int64_t r1) {
+      for (int64_t r = r0; r < r1; ++r) {
+        span_fn(d, pa + r * d, pb, po + r * d);
+      }
     });
     return out;
   }
@@ -105,7 +127,7 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, SpanFn span_fn,
 template <typename Fn>
 Tensor Unary(const Tensor& a, Fn fn) {
   MG_CHECK(a.defined());
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.data();
   float* po = out.data();
   const int64_t n = a.NumElements();
@@ -120,7 +142,7 @@ Tensor Unary(const Tensor& a, Fn fn) {
 template <typename SpanFn>
 Tensor UnaryV(const Tensor& a, SpanFn span_fn) {
   MG_CHECK(a.defined());
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.data();
   float* po = out.data();
   const int64_t n = a.NumElements();
@@ -232,7 +254,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   const int64_t n = trans_b ? b.Dim(0) : b.Dim(1);
   MG_CHECK_EQ(k, kb, "MatMul inner dims: ", a.shape().ToString(), " x ",
               b.shape().ToString());
-  Tensor out(Shape{m, n});
+  // beta = 0: Gemm writes every element of C without reading it.
+  Tensor out = Tensor::Uninitialized(Shape{m, n});
   Gemm(trans_a, trans_b, m, n, k, 1.0f, a.data(), a.Dim(1), b.data(),
        b.Dim(1), 0.0f, out.data(), n);
   return out;
@@ -241,7 +264,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
 Tensor Transpose2D(const Tensor& a) {
   MG_CHECK_EQ(a.Rank(), 2);
   const int64_t r = a.Dim(0), c = a.Dim(1);
-  Tensor out(Shape{c, r});
+  Tensor out = Tensor::Uninitialized(Shape{c, r});
   const float* pa = a.data();
   float* po = out.data();
   const int64_t grain = std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, c));
@@ -308,7 +331,7 @@ Tensor Sum(const Tensor& a, int axis, bool keepdims) {
       out_dims.push_back(a.Dim(i));
     }
   }
-  Tensor out(Shape(std::move(out_dims)));
+  Tensor out = Tensor::Uninitialized(Shape(std::move(out_dims)));
   const float* pa = a.data();
   float* po = out.data();
   // One independent reduction per output element (fixed m-order), so output
@@ -371,7 +394,7 @@ std::vector<int64_t> ArgMaxRows(const Tensor& a) {
 Tensor SoftmaxRows(const Tensor& a) {
   MG_CHECK_EQ(a.Rank(), 2);
   const int64_t n = a.Dim(0), c = a.Dim(1);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* p = a.data();
   float* po = out.data();
   const int64_t grain = std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, c));
@@ -395,7 +418,7 @@ Tensor SoftmaxRows(const Tensor& a) {
 Tensor LogSoftmaxRows(const Tensor& a) {
   MG_CHECK_EQ(a.Rank(), 2);
   const int64_t n = a.Dim(0), c = a.Dim(1);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* p = a.data();
   float* po = out.data();
   const int64_t grain = std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, c));
@@ -416,7 +439,8 @@ Tensor LogSoftmaxRows(const Tensor& a) {
 Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& indices) {
   MG_CHECK_EQ(a.Rank(), 2);
   const int64_t d = a.Dim(1);
-  Tensor out(Shape{static_cast<int64_t>(indices.size()), d});
+  Tensor out = Tensor::Uninitialized(
+      Shape{static_cast<int64_t>(indices.size()), d});
   const float* pa = a.data();
   float* po = out.data();
   const int64_t grain = std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, d));
@@ -458,7 +482,7 @@ Tensor SliceCols(const Tensor& a, int64_t start, int64_t len) {
   MG_CHECK_GE(start, 0);
   MG_CHECK_LE(start + len, a.Dim(1), "SliceCols out of range");
   const int64_t n = a.Dim(0), c = a.Dim(1);
-  Tensor out(Shape{n, len});
+  Tensor out = Tensor::Uninitialized(Shape{n, len});
   const float* pa = a.data();
   float* po = out.data();
   for (int64_t i = 0; i < n; ++i) {
@@ -484,7 +508,7 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
   }
   std::vector<int64_t> out_dims = parts[0].shape().dims();
   out_dims[axis] = axis_total;
-  Tensor out{Shape(out_dims)};
+  Tensor out = Tensor::Uninitialized(Shape(out_dims));
 
   int64_t outer = 1, inner = 1;
   for (int i = 0; i < axis; ++i) outer *= parts[0].Dim(i);
@@ -525,7 +549,7 @@ std::vector<Tensor> Split(const Tensor& a, int axis,
   for (int64_t s : sizes) {
     std::vector<int64_t> dims = a.shape().dims();
     dims[axis] = s;
-    Tensor part{Shape(dims)};
+    Tensor part = Tensor::Uninitialized(Shape(dims));
     float* pp = part.data();
     for (int64_t o = 0; o < outer; ++o) {
       std::copy(pa + o * in_row + axis_off * inner,

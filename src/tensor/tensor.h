@@ -1,6 +1,7 @@
 #ifndef MOCOGRAD_TENSOR_TENSOR_H_
 #define MOCOGRAD_TENSOR_TENSOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +11,44 @@
 #include "tensor/shape.h"
 
 namespace mocograd {
+
+/// One tensor's element buffer (docs/ARCHITECTURE.md "Tensor storage").
+/// Buffers of at least kRecycleMinBytes come from a process-wide,
+/// exact-size, bounded free list and go back to it when the last Tensor
+/// sharing them dies, so a training step that repeats the previous step's
+/// shapes never reaches the heap for them. Smaller buffers use plain
+/// new/delete; FromVector's buffer is adopted as is.
+class TensorStorage {
+ public:
+  /// Smallest buffer the free list recycles.
+  static constexpr int64_t kRecycleMinBytes = int64_t{16} << 10;
+
+  /// `n` floats, zero-filled when `zero`; otherwise unset (signaling-NaN
+  /// poison in MOCOGRAD_DEBUG_POISON builds).
+  TensorStorage(int64_t n, bool zero);
+  /// Adopts `values` without copying.
+  explicit TensorStorage(std::vector<float> values);
+  ~TensorStorage();
+
+  TensorStorage(const TensorStorage&) = delete;
+  TensorStorage& operator=(const TensorStorage&) = delete;
+
+  float* data() { return data_; }
+  const float* data() const { return data_; }
+  int64_t size() const { return size_; }
+
+  /// Free-list counters since process start, for steady-state tests.
+  struct Stats {
+    int64_t hits = 0;    // recyclable requests served from the free list
+    int64_t misses = 0;  // recyclable requests that went to the heap
+  };
+  static Stats GetStats();
+
+ private:
+  float* data_ = nullptr;
+  int64_t size_ = 0;
+  std::vector<float> adopted_;  // FromVector's buffer; empty otherwise
+};
 
 /// Dense, contiguous, row-major float32 tensor with shared storage.
 ///
@@ -25,12 +64,18 @@ class Tensor {
   /// Zero-initialized tensor of the given shape.
   explicit Tensor(Shape shape)
       : shape_(std::move(shape)),
-        storage_(std::make_shared<std::vector<float>>(shape_.NumElements(),
-                                                      0.0f)) {}
+        storage_(std::make_shared<TensorStorage>(shape_.NumElements(),
+                                                 /*zero=*/true)) {}
 
   /// --- Factories -------------------------------------------------------
 
   static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
+
+  /// Tensor whose elements are left unset. Only for outputs the caller
+  /// overwrites in full before any read (docs/CORRECTNESS.md lists the
+  /// ops that qualify); MOCOGRAD_DEBUG_POISON builds fill it with
+  /// signaling NaNs so a missed element shows up as NaN.
+  static Tensor Uninitialized(Shape shape);
   static Tensor Ones(Shape shape) { return Full(std::move(shape), 1.0f); }
   static Tensor Full(Shape shape, float value);
   static Tensor Scalar(float value) { return Full(Shape{}, value); }
@@ -127,7 +172,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::shared_ptr<std::vector<float>> storage_;
+  std::shared_ptr<TensorStorage> storage_;
 };
 
 }  // namespace mocograd

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "autograd/executor.h"
@@ -197,6 +198,31 @@ TEST_F(AutogradExecutorTest, SinkAccumulatesAcrossRootsOnReadyQueue) {
   ASSERT_NE(it, sink.end());
   EXPECT_FLOAT_EQ(it->second[0], 7.0f);
   EXPECT_FLOAT_EQ(it->second[1], 7.0f);
+}
+
+TEST_F(AutogradExecutorTest, FirstContributionStoresNegativeZeroAsPositive) {
+  // The first contribution to a grad buffer or sink entry is written as
+  // 0.0f + g, the bits zeros-then-add leaves: −0 lands as +0, every other
+  // value unchanged. Both destinations, both executors.
+  for (BackwardExecutor exec :
+       {BackwardExecutor::kSequential, BackwardExecutor::kReadyQueue}) {
+    autograd::SetBackwardExecutor(exec);
+    Variable x(Tensor::FromVector({3}, {1, 2, 3}), /*requires_grad=*/true);
+    Variable c(Tensor::FromVector({3}, {-0.0f, 2, -3}),
+               /*requires_grad=*/false);
+    Variable y = ag::SumAll(ag::Mul(x, c));
+
+    Variable::GradSink sink;
+    y.BackwardInto(&sink);
+    auto it = sink.find(x.node().get());
+    ASSERT_NE(it, sink.end());
+    y.Backward();
+    for (const Tensor* g : {&std::as_const(it->second), &x.grad()}) {
+      const float want[3] = {0.0f, 2.0f, -3.0f};
+      EXPECT_EQ(std::memcmp(g->data(), want, sizeof(want)), 0)
+          << "executor " << static_cast<int>(exec) << ": " << g->ToString();
+    }
+  }
 }
 
 TEST_F(AutogradExecutorTest, NoGradLeafStaysUntouched) {

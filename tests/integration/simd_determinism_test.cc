@@ -385,10 +385,58 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
     return dots;
   };
 
+  // Row broadcasts ([n, d] against [d] and [1, d], the bias add) for every
+  // binary op, on a ragged width and on one wide enough to split rows
+  // across the pool, with NaN/±0 salt in both operands (and a zero divisor).
+  // Each must be bitwise the generic strided walk, reached here through a
+  // rank-3 view of the same [n, d] operand.
+  std::vector<std::pair<Tensor, Tensor>> rb_inputs;
+  for (auto [rn, rd] : {std::pair<int64_t, int64_t>{5, 37}, {200, 301}}) {
+    Tensor ra = Tensor::Randn({rn, rd}, rng);
+    Tensor rb = Tensor::Randn({rd}, rng);
+    ra.data()[0] = -0.0f;
+    ra.data()[3] = kNan;
+    ra.data()[rd + 2] = 0.0f;
+    ra.data()[rd + 5] = -0.0f;
+    ra.data()[rn * rd - 1] = -0.0f;
+    rb.data()[0] = 0.0f;
+    rb.data()[2] = -0.0f;
+    rb.data()[5] = 0.0f;
+    rb.data()[rd - 1] = kNan;
+    rb_inputs.emplace_back(ra, rb);
+  }
+  using BinaryOp = Tensor (*)(const Tensor&, const Tensor&);
+  const std::pair<const char*, BinaryOp> kBinaryOps[] = {
+      {"Add", tops::Add},
+      {"Sub", tops::Sub},
+      {"Mul", tops::Mul},
+      {"Div", tops::Div},
+      {"Maximum", tops::Maximum}};
+  auto row_broadcasts = [&]() {
+    std::vector<Tensor> outs;
+    for (const auto& [ra, rb] : rb_inputs) {
+      const int64_t rn = ra.Dim(0), rd = ra.Dim(1);
+      const Tensor ra3 = ra.Reshape({rn, 1, rd});
+      for (const auto& [name, op] : kBinaryOps) {
+        const Tensor generic = op(ra3, rb);
+        for (const Tensor& b : {rb, rb.Reshape({1, rd})}) {
+          Tensor row = op(ra, b);
+          EXPECT_TRUE(BitIdentical(row, generic))
+              << name << " row broadcast [" << rn << ", " << rd
+              << "] x " << b.shape().ToString()
+              << " differs from the strided walk";
+          outs.push_back(row);
+        }
+      }
+    }
+    return outs;
+  };
+
   const std::vector<simd::IsaTier> tiers = AvailableTiers();
   ASSERT_FALSE(tiers.empty());
 
   Tensor ref_c, ref_blk, ref_relu, ref_opt;
+  std::vector<Tensor> ref_rows;
   std::vector<float> ref_bf16, ref_bf16_row;
   std::vector<double> ref_tile;
   float ref_sum = 0.0f;
@@ -417,6 +465,7 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
       w.mutable_grad().CopyFrom(Tensor::Randn({13, 7}, grng));
       opt.Step();
       const std::vector<double> tile = tile_dots();
+      const std::vector<Tensor> rows = row_broadcasts();
 
       if (!have_ref) {
         have_ref = true;
@@ -428,6 +477,7 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
         ref_sum = sum;
         ref_opt = w.value().Clone();
         ref_tile = tile;
+        ref_rows = rows;
         // The bf16 batched rows and the m == 1 row agree per element
         // (batch-invariant serving).
         for (int64_t j = 0; j < n; ++j) {
@@ -461,6 +511,12 @@ TEST_F(SimdDeterminismTest, AllTiersBitIdentical) {
                                 tile.size() * sizeof(double)) == 0)
             << "DotF64Tile differs (tier=" << name << ", threads=" << threads
             << ")";
+        ASSERT_EQ(rows.size(), ref_rows.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          EXPECT_TRUE(BitIdentical(ref_rows[i], rows[i]))
+              << "row broadcast " << i << " differs (tier=" << name
+              << ", threads=" << threads << ")";
+        }
       }
     }
   }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -281,6 +282,29 @@ TEST(GemmMicrokernelTest, BetaZeroOverwritesPoisonedC) {
   Gemm(false, false, 1, 1, 1, 1.0f, a.data(), 1, b.data(), 1, 0.0f, c.data(),
        1);
   EXPECT_FLOAT_EQ(c[0], 2.0f);
+}
+
+// k == 0 (and alpha == 0) with beta == 0: C is not read (BLAS semantics),
+// so NaN, Inf and −0 already in C all become exact +0.
+TEST(GemmMicrokernelTest, EmptyProductWithBetaZeroStoresPositiveZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> a = {1.0f, 2.0f, 3.0f, 4.0f};
+  const std::vector<float> b = {5.0f, 6.0f, 7.0f, 8.0f};
+  for (const auto& [k, alpha] :
+       {std::pair<int64_t, float>{0, 1.0f}, {2, 0.0f}}) {
+    // 2x2 C inside a 2x3 buffer (ldc = 3): the padding column stays put.
+    std::vector<float> c = {nan, -inf, nan, -0.0f, inf, nan};
+    Gemm(false, false, 2, 2, k, alpha, k > 0 ? a.data() : nullptr, 2,
+         k > 0 ? b.data() : nullptr, 2, 0.0f, c.data(), 3);
+    for (int idx : {0, 1, 3, 4}) {
+      EXPECT_EQ(c[idx], 0.0f) << "k=" << k << " alpha=" << alpha << " at "
+                              << idx;
+      EXPECT_FALSE(std::signbit(c[idx])) << "k=" << k << " at " << idx;
+    }
+    EXPECT_TRUE(std::isnan(c[2]));
+    EXPECT_TRUE(std::isnan(c[5]));
+  }
 }
 
 }  // namespace

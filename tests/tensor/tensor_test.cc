@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "base/scratch.h"
 #include "tensor/ops.h"
 
 namespace mocograd {
@@ -63,6 +67,60 @@ TEST(TensorTest, SharedStorageSemantics) {
   EXPECT_FLOAT_EQ(a[0], 9.0f);
   EXPECT_FALSE(a.SharesStorageWith(c));
 }
+
+// 8192 floats = 32 KiB: at or above TensorStorage::kRecycleMinBytes.
+constexpr int64_t kRecyclable = 8192;
+static_assert(kRecyclable * 4 >= TensorStorage::kRecycleMinBytes);
+
+TEST(TensorStorageTest, RecycledBufferIsZeroedForZeros) {
+  { Tensor dirty = Tensor::Full({kRecyclable}, 7.0f); }
+  const TensorStorage::Stats before = TensorStorage::GetStats();
+  Tensor z = Tensor::Zeros({kRecyclable});
+  const TensorStorage::Stats after = TensorStorage::GetStats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  for (int64_t i = 0; i < kRecyclable; ++i) ASSERT_EQ(z[i], 0.0f) << i;
+}
+
+TEST(TensorStorageTest, SmallBuffersBypassTheFreeList) {
+  const TensorStorage::Stats before = TensorStorage::GetStats();
+  { Tensor small = Tensor::Zeros({kRecyclable / 2 - 1}); }
+  Tensor again = Tensor::Zeros({kRecyclable / 2 - 1});
+  const TensorStorage::Stats after = TensorStorage::GetStats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST(TensorStorageTest, UninitializedIsPoisonedInPoisonBuilds) {
+  if (!ScratchArena::PoisoningEnabled()) {
+    GTEST_SKIP() << "MOCOGRAD_DEBUG_POISON is off in this build";
+  }
+  for (int64_t n : {int64_t{3}, kRecyclable}) {
+    { Tensor dirty = Tensor::Full({n}, 1.0f); }  // recycled when large
+    Tensor u = Tensor::Uninitialized({n});
+    for (int64_t i = 0; i < n; ++i) {
+      uint32_t bits;
+      std::memcpy(&bits, u.data() + i, sizeof(bits));
+      ASSERT_EQ(bits, ScratchArena::kPoisonPattern) << n << " at " << i;
+    }
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(TensorStorageDeathTest, UseAfterReleaseTripsAsan) {
+  EXPECT_DEATH(
+      {
+        const float* stale = nullptr;
+        {
+          Tensor t = Tensor::Zeros({kRecyclable});
+          stale = t.data();
+        }  // cached on the free list, poisoned for ASan
+        volatile float v = stale[kRecyclable / 2];
+        (void)v;
+      },
+      "use-after-poison");
+}
+#endif
 
 TEST(TensorTest, ReshapeSharesAndInfers) {
   Tensor a = Tensor::Arange(6);
